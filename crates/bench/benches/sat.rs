@@ -10,7 +10,7 @@
 //! [`PrefixCache`]: dbir::equiv::PrefixCache
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dbir::equiv::{compare_with_oracle_profiled, PrefixCache, SourceOracle, TestConfig};
+use dbir::equiv::{compare_with_oracle, PrefixCache, SourceOracle, TestConfig};
 use satsolver::{Lit, SolveResult, Solver, Var};
 
 /// The sketch-shaped CNF the completion loop produces: `holes` one-hot
@@ -131,9 +131,10 @@ fn bench_prefix_cache(c: &mut Criterion) {
     let config = TestConfig::default();
     // Checking the source program against itself walks the full bound —
     // the worst case for prefix re-execution, the best case for the cache.
-    group.bench_function("cold_no_cache", |b| {
+    // Without a shared cache each check starts from a call-local one.
+    group.bench_function("cold_call_local_cache", |b| {
         b.iter(|| {
-            let report = compare_with_oracle_profiled(
+            let report = compare_with_oracle(
                 &oracle,
                 &benchmark.source_program,
                 &benchmark.source_schema,
@@ -149,7 +150,7 @@ fn bench_prefix_cache(c: &mut Criterion) {
     group.bench_function("warm_shared_cache", |b| {
         let mut cache = PrefixCache::new();
         b.iter(|| {
-            let report = compare_with_oracle_profiled(
+            let report = compare_with_oracle(
                 &oracle,
                 &benchmark.source_program,
                 &benchmark.source_schema,

@@ -15,7 +15,8 @@ use pipeline::{RefactorError, Refactoring};
 /// The synthesis configuration used for a benchmark in the experiments:
 /// textbook benchmarks use the standard configuration; application-scale
 /// benchmarks use a leaner bounded-testing configuration (fewer argument
-/// combinations per function), matching DESIGN.md.
+/// combinations per function); see README, "Substitutions for the paper's
+/// artifacts".
 pub fn config_for(benchmark: &Benchmark, solver: SketchSolverKind) -> SynthesisConfig {
     let mut config = SynthesisConfig {
         solver,

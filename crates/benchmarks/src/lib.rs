@@ -7,8 +7,8 @@
 //! The textbook scenarios are re-created faithfully in [`textbook`]; the
 //! real-world applications are not redistributable, so [`realworld`]
 //! generates CRUD-style programs whose function, table and attribute counts
-//! match the published per-benchmark metadata (see DESIGN.md for the
-//! substitution rationale).
+//! match the published per-benchmark metadata (see README, "Substitutions
+//! for the paper's artifacts", for the substitution rationale).
 //!
 //! Every benchmark carries the numbers the paper reports for it
 //! ([`PaperNumbers`]), so the experiment harness can print paper-vs-measured
@@ -189,7 +189,8 @@ mod tests {
     #[test]
     fn attr_counts_are_close_to_the_paper() {
         // Attribute counts of the synthetic real-world benchmarks are allowed
-        // to deviate slightly (see DESIGN.md); textbook benchmarks are exact.
+        // to deviate slightly (see README, "Substitutions for the paper's
+        // artifacts"); textbook benchmarks are exact.
         for benchmark in all_benchmarks() {
             let (_, _, sa, _, ta) = benchmark.measured_shape();
             let (psa, pta) = (benchmark.paper.source_attrs, benchmark.paper.target_attrs);

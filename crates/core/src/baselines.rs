@@ -4,12 +4,13 @@
 //!   Table 3: identical SAT encoding, but every failing candidate blocks
 //!   only its own full model instead of an MFI-derived partial assignment.
 //! * [`solve_cegis`] — a CEGIS-style enumerator standing in for the Sketch
-//!   tool of Table 2 (see DESIGN.md for the substitution rationale): hole
-//!   assignments are enumerated in an order oblivious to the sketch's
-//!   likelihood ranking (a fixed pseudo-random permutation per hole domain,
-//!   mirroring a SAT backend's ranking-agnostic model order), candidates are
-//!   first screened against the accumulated counterexample set, and no
-//!   structural learning is performed. On large sketches this baseline
+//!   tool of Table 2 (see README, "Substitutions for the paper's
+//!   artifacts", for the substitution rationale): hole assignments are
+//!   enumerated in an order oblivious to the sketch's likelihood ranking (a
+//!   fixed pseudo-random permutation per hole domain, mirroring a SAT
+//!   backend's ranking-agnostic model order), candidates are first screened
+//!   against the accumulated counterexample set, and no structural learning
+//!   is performed. On large sketches this baseline
 //!   typically hits its candidate or time budget, which reproduces the
 //!   timeout behaviour the paper reports for Sketch.
 
@@ -21,7 +22,7 @@ use dbir::{Program, Schema};
 
 use crate::completion::{complete_sketch, BlockingStrategy, CompletionControls, CompletionOutcome};
 use crate::sketch::Sketch;
-use crate::verify::{check_candidate_with_oracle, CheckOutcome};
+use crate::verify::{check_candidate_cached, CheckOutcome};
 
 /// Solves a sketch with full-model blocking (the Table 3 baseline).
 #[allow(clippy::too_many_arguments)]
@@ -160,11 +161,14 @@ pub fn solve_cegis(
                 &observe(&candidate, target_schema, sequence) != expected
             });
             if !screened_out && candidate.validate(target_schema).is_ok() {
-                match check_candidate_with_oracle(
+                match check_candidate_cached(
                     &oracle,
                     &candidate,
                     target_schema,
                     &config.testing,
+                    None,
+                    None,
+                    None,
                 ) {
                     CheckOutcome::Equivalent { .. } => {
                         return CegisOutcome {

@@ -19,17 +19,16 @@
 //!   activities and saved phases it accumulates carry over to every later
 //!   model (counted by [`SketchRunStats::solver_reuses`] and
 //!   [`SketchRunStats::learned_clauses_kept`]).
-//! * **Speculative candidate checking** — while candidate *k* is in
-//!   bounded testing, the solver probes for candidate *k+1* on a
-//!   [`parpool`] worker under a guard assumption `g` whose clause
-//!   `¬g ∨ block(k)` pre-blocks *k*'s full model. If *k* fails, the guard
-//!   is committed as a unit clause (sound: the learned MFI clause blocks a
-//!   superset of `block(k)`) and the probed model is *adopted* as the next
-//!   candidate when it already satisfies the MFI clause; if *k* is
-//!   accepted the probe is discarded. The probe always runs —
-//!   [`parpool::join`] degrades to sequential execution instead of
-//!   skipping — so the solver-state trajectory, and with it every model
-//!   and counter, is byte-identical at any thread count.
+//! * **Speculative candidate probing** — after candidate *k*'s bounded
+//!   test, the solver probes for candidate *k+1* under a guard assumption
+//!   `g` whose clause `¬g ∨ block(k)` pre-blocks *k*'s full model. If *k*
+//!   fails, the guard is committed as a unit clause (sound: the learned MFI
+//!   clause blocks a superset of `block(k)`) and the probed model is
+//!   *adopted* as the next candidate when it already satisfies the MFI
+//!   clause; if *k* is accepted the probe is discarded. Probe and test run
+//!   one after the other on the calling thread, and the probe always runs,
+//!   so the solver-state trajectory, and with it every model and counter,
+//!   is byte-identical at any thread count.
 //! * **Prefix sharing** — every bounded check of the sketch (testing and
 //!   verification) shares one [`PrefixCache`], so update prefixes executed
 //!   for candidate *k* are reused by candidate *k+1* when the prefix's
@@ -323,32 +322,25 @@ pub fn complete_sketch(
         };
 
         // Speculation: pre-block this candidate's full model behind a fresh
-        // guard literal, then probe for the next model under the guard
-        // assumption *while* the candidate is in bounded testing. The guard
-        // clause is inert until the guard is committed (failing candidate)
-        // and stays inert forever if the candidate is accepted.
+        // guard literal and, after the candidate's bounded test, probe for
+        // the next model under the guard assumption. The guard clause is
+        // inert until the guard is committed (failing candidate) and stays
+        // inert forever if the candidate is accepted.
         let guard = solver.new_var();
         let mut guard_clause = encoding.blocking_clause(&assignment, &all_holes);
         guard_clause.push(Lit::new(guard, false));
         solver.add_clause(&guard_clause);
 
-        let token = controls.token;
-        let profile = controls.profile.as_deref_mut();
-        let testing_cache = &mut cache;
-        let (test_outcome, speculation) = parpool::join(
-            || {
-                check_candidate_cached(
-                    oracle,
-                    &candidate,
-                    target_schema,
-                    testing,
-                    token,
-                    profile,
-                    Some(testing_cache),
-                )
-            },
-            || solver.solve_with_assumptions(&[Lit::pos(guard)]),
+        let test_outcome = check_candidate_cached(
+            oracle,
+            &candidate,
+            target_schema,
+            testing,
+            controls.token,
+            controls.profile.as_deref_mut(),
+            Some(&mut cache),
         );
+        let speculation = solver.solve_with_assumptions(&[Lit::pos(guard)]);
 
         // Commits the speculative blocking after a failure and decides
         // whether the probed model can seed the next iteration: it must
@@ -785,8 +777,8 @@ mod tests {
     /// A failing sketch exercises the whole speculation protocol (guard
     /// clauses, unit commits, adoption) on every iteration; its trajectory
     /// — iterations, blocking clauses, solver reuses, adoptions and the
-    /// recorded event stream — must be identical whether the probe runs on
-    /// a worker thread or inline on an exhausted thread budget.
+    /// recorded event stream — must be identical at a thread budget of 1
+    /// and of 4.
     #[test]
     fn speculation_trajectory_is_thread_budget_independent() {
         let source_schema = Schema::parse("T(a: int, b: string)").unwrap();

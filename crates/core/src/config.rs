@@ -28,7 +28,8 @@ pub struct SynthesisConfig {
     /// sketch completion.
     pub testing: TestConfig,
     /// Bounded-testing parameters used for the final verification pass
-    /// (the stand-in for the Mediator verifier; see DESIGN.md).
+    /// (the stand-in for the Mediator verifier; see README, "Substitutions
+    /// for the paper's artifacts").
     pub verification: TestConfig,
     /// Which sketch solver to use.
     pub solver: SketchSolverKind,

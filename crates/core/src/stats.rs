@@ -77,19 +77,18 @@ impl SynthesisStats {
 ///   `solver_reuses`, `learned_clauses_kept`, `prefix_cache_hits`,
 ///   `undo_frames` and `undo_ops_rolled_back` are merged from the winning
 ///   trajectory in enumeration order, so they are byte-identical at any
-///   thread count (the same contract as the synthesis event log). The
-///   incremental-solver counters are deterministic because candidate
-///   speculation *always* runs — [`parpool::join`] degrades to sequential
-///   execution rather than skipping the probe — so the solver sees the same
-///   call sequence at any thread budget; prefix-cache resolution happens at
-///   sequential points of each check, so hit counts are a pure function of
-///   the candidate sequence; the undo-log counters are deterministic
-///   because every production check runs prefix-cached, whose per-root walk
-///   work is merged in root order (see [`CheckProfile`]).
-/// * **Scheduling-dependent diagnostics** — `snapshots_taken` and
-///   `snapshot_bytes_copied` grow with the thread count (parallel stub
-///   tasks replay their prefixes), and every `*_time` field is wall-clock.
-///   None of these may be compared across runs.
+///   thread count (the same contract as the synthesis event log), and
+///   `experiments check` compares them against the committed trajectory.
+///   The incremental-solver counters are deterministic because candidate
+///   speculation *always* runs, sequentially after each candidate's
+///   bounded test, so the solver sees the same call sequence at any thread
+///   budget; every bounded check runs sequentially on its caller's thread,
+///   so its prefix-cache and undo-log counters are a pure function of the
+///   candidate sequence (see [`CheckProfile`]). `snapshots_taken` and
+///   `snapshot_bytes_copied` obey the same contract but are not part of
+///   the committed comparison.
+/// * **Wall-clock diagnostics** — every `*_time` field. None of these may
+///   be compared across runs.
 ///
 /// The time fields are not disjoint: `plan_compile_time`, `snapshot_time`
 /// and `oracle_time` all nest inside `bounded_testing_time`, which itself
@@ -137,10 +136,10 @@ pub struct PhaseBreakdown {
     /// (deterministic).
     pub undo_ops_rolled_back: u64,
     /// Instance snapshots cloned — COW-cheap pointer copies
-    /// (scheduling-dependent).
+    /// (deterministic).
     pub snapshots_taken: u64,
     /// Heap bytes physically copied for snapshots: clone overhead plus
-    /// copy-on-write table copies (scheduling-dependent).
+    /// copy-on-write table copies (deterministic).
     pub snapshot_bytes_copied: u64,
 }
 

@@ -3,14 +3,13 @@
 //! The paper uses bounded testing to find minimum failing inputs and the
 //! Mediator verifier for the final equivalence proof. Mediator is a
 //! full-blown POPL'18 system for inferring bisimulation invariants; this
-//! reproduction substitutes a deeper bounded-testing pass (see DESIGN.md),
-//! which preserves the role verification plays in the synthesis loop: it is
-//! the last, most expensive check, and its cost is reported separately from
-//! synthesis time.
+//! reproduction substitutes a deeper bounded-testing pass (see README,
+//! "Substitutions for the paper's artifacts"), which preserves the role
+//! verification plays in the synthesis loop: it is the last, most expensive
+//! check, and its cost is reported separately from synthesis time.
 
 use dbir::equiv::{
-    compare_with_oracle_profiled, CheckProfile, EquivalenceReport, PrefixCache, SourceOracle,
-    TestConfig,
+    compare_with_oracle, CheckProfile, EquivalenceReport, PrefixCache, SourceOracle, TestConfig,
 };
 use dbir::{InvocationSequence, Program, Schema};
 use parpool::CancelToken;
@@ -75,76 +74,17 @@ impl CheckOutcome {
     }
 }
 
-/// Checks a candidate target program against the source program using
-/// bounded testing with the given configuration, returning a minimum
-/// failing input when the programs disagree.
+/// Checks a candidate target program against the source program held by
+/// `oracle` using bounded testing with the given configuration, returning a
+/// minimum failing input when the programs disagree.
 ///
-/// Builds a throwaway [`SourceOracle`] internally; callers checking many
-/// candidates against one source should use
-/// [`check_candidate_with_oracle`] so the source side is interpreted once
-/// per sequence across the whole run.
-pub fn check_candidate(
-    source: &Program,
-    source_schema: &Schema,
-    candidate: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-) -> CheckOutcome {
-    let oracle = SourceOracle::new(source, source_schema);
-    check_candidate_with_oracle(&oracle, candidate, target_schema, config)
-}
-
-/// Like [`check_candidate`], but reuses (and fills) a memoized source
-/// oracle shared across the candidates — and worker threads — of a
-/// synthesis run.
-pub fn check_candidate_with_oracle(
-    oracle: &SourceOracle<'_>,
-    candidate: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-) -> CheckOutcome {
-    check_candidate_cancel(oracle, candidate, target_schema, config, None)
-}
-
-/// Like [`check_candidate_with_oracle`], but polls `cancel` inside the
-/// bounded-testing walk and returns [`CheckOutcome::Cancelled`] when the
-/// token fires mid-check. With `cancel` absent the behaviour is identical.
-pub fn check_candidate_cancel(
-    oracle: &SourceOracle<'_>,
-    candidate: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-    cancel: Option<&CancelToken>,
-) -> CheckOutcome {
-    check_candidate_profiled(oracle, candidate, target_schema, config, cancel, None)
-}
-
-/// Like [`check_candidate_cancel`], but additionally fills `profile` with
-/// the check's per-phase accounting (plan compilation, DFS walk, snapshot
-/// copying) when one is supplied. With `profile` absent the behaviour and
-/// cost are identical.
-pub fn check_candidate_profiled(
-    oracle: &SourceOracle<'_>,
-    candidate: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-    cancel: Option<&CancelToken>,
-    profile: Option<&mut CheckProfile>,
-) -> CheckOutcome {
-    check_candidate_cached(
-        oracle,
-        candidate,
-        target_schema,
-        config,
-        cancel,
-        profile,
-        None,
-    )
-}
-
-/// Like [`check_candidate_profiled`], but additionally shares executed
-/// update-prefix states across candidates through `cache` when one is
-/// supplied. The verdict and every reported count are identical with or
+/// The oracle memoizes the source side, so callers checking many
+/// candidates against one source interpret each sequence on the source once
+/// across the whole run. `cancel` is polled inside the walk
+/// ([`CheckOutcome::Cancelled`] when it fires), `profile` receives the
+/// check's per-phase accounting, and `cache` shares executed update-prefix
+/// states across candidates (a cache local to the call is used without
+/// one). The verdict and every reported count are identical with or
 /// without the cache — only which update executions are skipped changes —
 /// so passing the same cache to the bounded-testing and verification
 /// checks of one sketch is sound and lets verification reuse the prefixes
@@ -165,7 +105,7 @@ pub fn check_candidate_cached(
         sequences_tested,
         bound_exhausted,
         cancelled,
-    } = compare_with_oracle_profiled(
+    } = compare_with_oracle(
         oracle,
         candidate,
         target_schema,
@@ -194,6 +134,17 @@ pub fn check_candidate_cached(
 mod tests {
     use super::*;
     use dbir::parser::parse_program;
+
+    fn check_candidate(
+        source: &Program,
+        source_schema: &Schema,
+        candidate: &Program,
+        target_schema: &Schema,
+        config: &TestConfig,
+    ) -> CheckOutcome {
+        let oracle = SourceOracle::new(source, source_schema);
+        check_candidate_cached(&oracle, candidate, target_schema, config, None, None, None)
+    }
 
     #[test]
     fn identical_programs_are_equivalent() {

@@ -8,7 +8,8 @@
 //!
 //! This module implements that procedure twice:
 //!
-//! * [`compare_programs`] — the production engine. It walks the tree of
+//! * [`compare_with_oracle`] — the production engine, with
+//!   [`compare_programs`] as its one-shot convenience. It walks the tree of
 //!   update-call prefixes depth-first with **in-place backtracking**: each
 //!   side keeps one working [`Instance`], update calls execute directly on
 //!   it while recording their inverses in an undo-log [`Journal`], and
@@ -18,14 +19,13 @@
 //!   executions instead of the naive `O(L·kᴸ·|Q|)` — and, unlike the
 //!   earlier snapshot-per-node engine, without deep-cloning the instance at
 //!   every node. True snapshots survive only where a state must outlive the
-//!   walk ([`PrefixCache`] entries, parallel stub-replay roots), and those
-//!   are cheap because [`Instance`] is copy-on-write: cloning bumps
-//!   per-table `Arc`s, and only the first mutation of a shared table pays a
-//!   physical copy. Sequences are still enumerated depth-by-depth
-//!   (iterative deepening), so the first counterexample remains a minimum
-//!   failing input. Prefixes on which *both* programs have already failed
-//!   are counted arithmetically and never descended — every sequence
-//!   through them trivially agrees.
+//!   walk ([`PrefixCache`] entries), and those are cheap because
+//!   [`Instance`] is copy-on-write: cloning bumps per-table `Arc`s, and only
+//!   the first mutation of a shared table pays a physical copy. Sequences
+//!   are still enumerated depth-by-depth (iterative deepening), so the
+//!   first counterexample remains a minimum failing input. Prefixes on
+//!   which *both* programs have already failed are counted arithmetically
+//!   and never descended — every sequence through them trivially agrees.
 //! * [`compare_programs_naive`] — the original odometer that materializes and
 //!   replays every sequence from scratch. It is retained as an executable
 //!   reference semantics: a differential property test asserts the two
@@ -39,17 +39,14 @@
 //! is `Sync` (lock-striped outcome cache, `RwLock`-guarded call interning),
 //! so that single at-most-once guarantee spans *all* worker threads.
 //!
-//! The prefix-shared walk itself is parallel: within one (query plan, depth)
-//! subtree, the tree is partitioned into update-call *stub prefixes* whose
-//! subtrees are searched by worker threads (budgeted by the in-tree
-//! [`parpool`] shim). Determinism is preserved by construction — stub
-//! subtrees are merged in enumeration order and the **lowest-index**
-//! counterexample wins, so the reported counterexample and the
-//! `sequences_tested` count are byte-identical to the single-threaded
-//! trajectory at any thread count. When [`TestConfig::max_sequences`] is set
-//! the engine stays sequential (the cap is a global budget that cannot be
-//! split without changing what it measures), and tiny subtrees are searched
-//! inline because fork-join overhead would dominate.
+//! The walk is sequential: one check runs on its caller's thread, its
+//! update-prefix states resolved through a [`PrefixCache`] (the caller's,
+//! shared across candidates, or one local to the call). Every reported
+//! count — `sequences_tested` and every [`CheckProfile`] counter — is
+//! therefore a pure function of the check's inputs, whatever the thread
+//! budget. Parallelism lives one level up, in the synthesizer's
+//! correspondence fan-out, where independent checks share one `Sync`
+//! oracle.
 //!
 //! **Undo-log correctness.** The in-place walk is equivalent to the
 //! snapshot walk because (a) the journaled executor
@@ -75,7 +72,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use parpool::{CancelToken, StopCtx};
+use parpool::CancelToken;
 
 use crate::ast::{Function, FunctionBody, Program};
 use crate::error::Error;
@@ -221,34 +218,26 @@ pub struct EquivalenceReport {
     /// early by design).
     pub bound_exhausted: bool,
     /// `true` if the check was abandoned because the caller's
-    /// [`CancelToken`] fired (see [`compare_with_oracle_cancel`]). A
-    /// cancelled report carries **no verdict**: `equivalent` is `false` and
+    /// [`CancelToken`] fired (see [`compare_with_oracle`]). A cancelled
+    /// report carries **no verdict**: `equivalent` is `false` and
     /// `counterexample` is `None`, and `sequences_tested` reflects only the
-    /// work done before the interruption. Always `false` for the
-    /// non-cancellable entry points.
+    /// work done before the interruption. Always `false` when no token is
+    /// passed.
     pub cancelled: bool,
 }
 
 /// Per-check phase accounting for one bounded equivalence check, filled by
-/// [`compare_with_oracle_profiled`].
+/// [`compare_with_oracle`].
 ///
 /// The profile travels *next to* the [`EquivalenceReport`], never inside it:
 /// the report is compared structurally by the engine-differential tests and
 /// must stay free of wall-clock noise.
 ///
-/// Determinism: `plans_compiled` is identical at any thread count (plan
-/// compilation happens once per check, before the parallel walk).
-/// `snapshots_taken` and `snapshot_bytes_copied` are **scheduling-dependent**
-/// on the uncached path — parallel stub tasks replay their stub prefixes
-/// from the empty roots, so higher thread counts take strictly more
-/// snapshots. `undo_frames` and `undo_ops_rolled_back` are deterministic
-/// whenever a [`PrefixCache`] is supplied (every production path): the
-/// walk's per-root work is a pure function of the candidate, and the
-/// index-ordered merge absorbs exactly the roots the sequential walk would
-/// have visited. On the uncached stub-partitioned path they inherit the
-/// snapshot counters' scheduling dependence. All `*_time` fields are
-/// wall-clock. Only thread-count-independent counters may be compared
-/// across runs.
+/// Determinism: every counter is a pure function of the check's inputs
+/// (and, for `prefix_cache_hits` and the snapshot and undo counters, of
+/// what the [`PrefixCache`] already holds) — the walk runs on the calling
+/// thread, so no counter depends on the thread budget. All `*_time` fields
+/// are wall-clock and must not be compared across runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckProfile {
     /// Time spent compiling update/query plans for the check.
@@ -261,27 +250,22 @@ pub struct CheckProfile {
     /// Time spent cloning instance snapshots inside the walk. COW clones
     /// only — the in-place walk takes no per-node clones.
     pub snapshot_time: Duration,
-    /// Number of instance snapshots cloned (scheduling-dependent on the
-    /// uncached path). Snapshots are COW-cheap: the physical cost is in
-    /// `snapshot_bytes_copied`, not in this count.
+    /// Number of instance snapshots cloned. Snapshots are COW-cheap: the
+    /// physical cost is in `snapshot_bytes_copied`, not in this count.
     pub snapshots_taken: u64,
     /// Heap bytes **physically copied** for snapshots: per-clone pointer
     /// overhead plus the copy-on-write table copies triggered by mutating a
     /// shared instance. (Before the COW representation this field counted
     /// the full logical heap of every clone.)
     pub snapshot_bytes_copied: u64,
-    /// Update-prefix states served from the cross-candidate [`PrefixCache`]
-    /// instead of re-executed. Deterministic at any thread count: every
-    /// lookup happens on the check's calling thread, between parallel
-    /// sections (see [`PrefixCache`]).
+    /// Update-prefix states served from the [`PrefixCache`] instead of
+    /// re-executed.
     pub prefix_cache_hits: u64,
     /// Update calls executed in place with their inverses journaled (one
-    /// frame per journaled execution). Deterministic at any thread count
-    /// when a [`PrefixCache`] is supplied.
+    /// frame per journaled execution).
     pub undo_frames: u64,
     /// Row-level inverse operations replayed while backtracking (rows
-    /// un-pushed, rows re-inserted, cells restored). Deterministic under
-    /// the same condition as `undo_frames`.
+    /// un-pushed, rows re-inserted, cells restored).
     pub undo_ops_rolled_back: u64,
 }
 
@@ -300,11 +284,11 @@ impl CheckProfile {
     }
 }
 
-/// Locally accumulated snapshot and undo-log accounting for one walk: the
+/// Locally accumulated snapshot and undo-log accounting for one check: the
 /// physical-copy high-water mark plus clone/journal counters, folded into
-/// the caller's [`CheckProfile`] (and the process-wide peak) once per
-/// subtree instead of per node. Clones are clocked only when `timed` is
-/// set, so unprofiled checks pay no clock reads on the hot path.
+/// the caller's [`CheckProfile`] (and the process-wide peak) once per check
+/// instead of per node. Clones are clocked only when `timed` is set, so
+/// unprofiled checks pay no clock reads on the hot path.
 #[derive(Debug, Clone, Copy, Default)]
 struct SnapStats {
     peak: usize,
@@ -314,24 +298,6 @@ struct SnapStats {
     frames: u64,
     undone: u64,
     timed: bool,
-}
-
-impl SnapStats {
-    fn fresh(&self) -> SnapStats {
-        SnapStats {
-            timed: self.timed,
-            ..SnapStats::default()
-        }
-    }
-
-    fn absorb(&mut self, other: &SnapStats) {
-        self.peak = self.peak.max(other.peak);
-        self.taken += other.taken;
-        self.bytes += other.bytes;
-        self.nanos += other.nanos;
-        self.frames += other.frames;
-        self.undone += other.undone;
-    }
 }
 
 /// A minimal FNV-1a hasher for the oracle's interned-id keys.
@@ -637,30 +603,17 @@ fn relevant_updates<'p>(
         .collect()
 }
 
-/// Searches for a **minimum failing input** distinguishing `source` (over
-/// `source_schema`) from `target` (over `target_schema`).
+/// Runs the bounded equivalence check of `target` (over `target_schema`)
+/// against `source` (over `source_schema`) and reports the outcome together
+/// with the number of sequences executed.
 ///
-/// Sequences are enumerated in increasing number of update calls, so the
-/// first counterexample returned has minimal length among all sequences
-/// expressible with the configured seed constants.
+/// Sequences are enumerated in increasing number of update calls, so a
+/// reported counterexample is a **minimum failing input**: it has minimal
+/// length among all sequences expressible with the configured seed
+/// constants.
 ///
-/// Returns `None` if the two programs agree on every sequence within the
-/// bound.
-pub fn find_failing_input(
-    source: &Program,
-    source_schema: &Schema,
-    target: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-) -> Option<InvocationSequence> {
-    compare_programs(source, source_schema, target, target_schema, config).counterexample
-}
-
-/// Runs the bounded equivalence check and reports the outcome together with
-/// the number of sequences executed.
-///
-/// This is the prefix-shared engine (see the module documentation); it
-/// produces reports identical to [`compare_programs_naive`].
+/// A one-shot convenience over [`compare_with_oracle`] with a fresh oracle;
+/// it produces reports identical to [`compare_programs_naive`].
 pub fn compare_programs(
     source: &Program,
     source_schema: &Schema,
@@ -669,7 +622,7 @@ pub fn compare_programs(
     config: &TestConfig,
 ) -> EquivalenceReport {
     let oracle = SourceOracle::new(source, source_schema);
-    compare_with_oracle(&oracle, target, target_schema, config)
+    compare_with_oracle(&oracle, target, target_schema, config, None, None, None)
 }
 
 /// High-water mark (bytes) of the largest single **physical copy** performed
@@ -727,11 +680,13 @@ const PREFIX_CACHE_CAPACITY: usize = 1 << 17;
 /// candidate, plus every target prefix not touching a changed hole —
 /// instead of re-running them from the empty instance.
 ///
+/// A check without a caller-supplied cache uses one local to the call, which
+/// still shares prefixes between the depths of that one check.
+///
 /// All access is sequential: the cache is handed down as `&mut` and
-/// consulted only on the check's calling thread, between parallel sections
-/// (see [`compare_with_oracle_profiled`]). [`PrefixCache::hits`] is
-/// therefore byte-identical at any thread count, unlike the
-/// scheduling-dependent snapshot counters.
+/// consulted only on the check's calling thread (see
+/// [`compare_with_oracle`]), so [`PrefixCache::hits`] is byte-identical at
+/// any thread count.
 #[derive(Debug, Default)]
 pub struct PrefixCache {
     /// Interned function bodies: pretty-printed text → id. Two functions
@@ -755,7 +710,7 @@ impl PrefixCache {
     }
 
     /// Update-prefix states served from the cache so far, across all checks
-    /// that shared this cache. Deterministic at any thread count.
+    /// that shared this cache.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -820,12 +775,6 @@ enum Search {
     /// The caller's [`CancelToken`] fired mid-subtree; the walk unwound
     /// without a verdict.
     Cancelled,
-    /// A parallel stub task bailed out because a lower-index stub already
-    /// holds a stopping result (a counterexample or a token cancellation).
-    /// Never observed by the index-ordered merge: an abort implies a
-    /// stopping result at a strictly lower index, so the merge returns
-    /// before reaching an aborted slot.
-    Aborted,
 }
 
 /// One plan's calls, pre-resolved and pre-bound against one program.
@@ -855,11 +804,11 @@ struct PreparedPlan {
     update_ids: Vec<u32>,
     /// Interned oracle ids, parallel to `QueryPlan::query_calls`.
     query_ids: Vec<u32>,
-    /// Source-side interned function-body ids, parallel to
-    /// `QueryPlan::update_calls`. Empty unless a [`PrefixCache`] is in use.
+    /// Source-side [`PrefixCache`]-interned function-body ids, parallel to
+    /// `QueryPlan::update_calls`.
     src_body_ids: Vec<u32>,
-    /// Target-side interned function-body ids, parallel to
-    /// `QueryPlan::update_calls`. Empty unless a [`PrefixCache`] is in use.
+    /// Target-side [`PrefixCache`]-interned function-body ids, parallel to
+    /// `QueryPlan::update_calls`.
     tgt_body_ids: Vec<u32>,
     src_updates: Vec<PreparedUpdate>,
     tgt_updates: Vec<PreparedUpdate>,
@@ -905,52 +854,36 @@ fn prepare_query(program: &Program, schema: &Schema, call: &Call) -> PreparedQue
     }
 }
 
-/// Like [`compare_programs`], but reads (and fills) `oracle` for the source
-/// side, so repeated checks against the same source — the shape of every
-/// synthesis run — interpret each sequence on the source at most once.
+/// Runs the bounded equivalence check of `target` (over `target_schema`)
+/// against the oracle's source program — the one entry point every check
+/// goes through.
+///
+/// Reads (and fills) `oracle` for the source side, so repeated checks
+/// against the same source — the shape of every synthesis run — interpret
+/// each sequence on the source at most once. The optional arguments:
+///
+/// * `cancel` is polled at safe points of the walk (between subtrees and
+///   every few hundred sequences inside one); when it fires the report has
+///   [`EquivalenceReport::cancelled`] set. A token that never fires changes
+///   nothing.
+/// * `profile` receives per-phase accounting (plan compilation, tree walk,
+///   snapshot copying, undo log) and changes nothing reported. Without one
+///   the check takes no extra clock reads.
+/// * `cache` shares executed update-prefix states across checks. Without
+///   one the check uses a cache local to the call. The counterexample,
+///   `sequences_tested` and `bound_exhausted` are identical either way —
+///   only which update executions are skipped changes.
 pub fn compare_with_oracle(
     oracle: &SourceOracle<'_>,
     target: &Program,
     target_schema: &Schema,
     config: &TestConfig,
-) -> EquivalenceReport {
-    compare_with_oracle_cancel(oracle, target, target_schema, config, None)
-}
-
-/// Like [`compare_with_oracle`], but polls `cancel` at safe points of the
-/// walk (between subtrees and every few hundred sequences inside one) and
-/// returns a report with [`EquivalenceReport::cancelled`] set when the token
-/// fires. With `cancel` absent (or a token that never fires) the behaviour —
-/// including every reported count — is identical to
-/// [`compare_with_oracle`].
-pub fn compare_with_oracle_cancel(
-    oracle: &SourceOracle<'_>,
-    target: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
     cancel: Option<&CancelToken>,
+    profile: Option<&mut CheckProfile>,
+    cache: Option<&mut PrefixCache>,
 ) -> EquivalenceReport {
-    compare_with_oracle_profiled(oracle, target, target_schema, config, cancel, None, None)
-}
-
-/// Like [`compare_with_oracle_cancel`], but additionally fills `profile`
-/// with per-phase accounting (plan compilation, tree walk, snapshot
-/// copying) when one is supplied, and shares executed update-prefix states
-/// across checks through `cache` when one is supplied. With both absent the
-/// check takes no extra clock reads and the behaviour — including every
-/// reported count — is identical to [`compare_with_oracle_cancel`]; with a
-/// cache, *what* is reported (counterexample, `sequences_tested`,
-/// `bound_exhausted`) is still identical — only which update executions are
-/// skipped changes.
-pub fn compare_with_oracle_profiled(
-    oracle: &SourceOracle<'_>,
-    target: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-    cancel: Option<&CancelToken>,
-    mut profile: Option<&mut CheckProfile>,
-    mut cache: Option<&mut PrefixCache>,
-) -> EquivalenceReport {
+    let mut local_cache = PrefixCache::new();
+    let cache = cache.unwrap_or(&mut local_cache);
     let timed = profile.is_some();
     let compile_start = timed.then(Instant::now);
     let source = oracle.program();
@@ -985,31 +918,35 @@ pub fn compare_with_oracle_profiled(
                 .collect(),
         })
         .collect();
-    if let (Some(profile), Some(start)) = (profile.as_deref_mut(), compile_start) {
-        profile.plan_compile_time += start.elapsed();
-        profile.plans_compiled += plans
-            .iter()
-            .map(|p| 2 * (p.update_calls.len() + p.query_calls.len()) as u64)
-            .sum::<u64>();
-    }
+    let compile_time = compile_start.map(|start| start.elapsed());
     // Prefix-cache keys pair each call with its function's body id, so the
     // body interning must see this check's target program (candidates swap
-    // update-function bodies between checks).
-    if let Some(cache) = cache.as_deref_mut() {
-        for (plan, prep) in plans.iter().zip(&mut prepared) {
-            prep.src_body_ids = plan
-                .update_calls
-                .iter()
-                .map(|c| cache.intern_function(source, &c.function))
-                .collect();
-            prep.tgt_body_ids = plan
-                .update_calls
-                .iter()
-                .map(|c| cache.intern_function(target, &c.function))
-                .collect();
-        }
+    // update-function bodies between checks). It is not plan compilation,
+    // so it runs after the compile clock stops. Each function is printed
+    // once per check, not once per call of every plan.
+    let mut src_bodies: HashMap<&str, u32> = HashMap::new();
+    let mut tgt_bodies: HashMap<&str, u32> = HashMap::new();
+    for (plan, prep) in plans.iter().zip(&mut prepared) {
+        prep.src_body_ids = plan
+            .update_calls
+            .iter()
+            .map(|c| {
+                *src_bodies
+                    .entry(&c.function)
+                    .or_insert_with(|| cache.intern_function(source, &c.function))
+            })
+            .collect();
+        prep.tgt_body_ids = plan
+            .update_calls
+            .iter()
+            .map(|c| {
+                *tgt_bodies
+                    .entry(&c.function)
+                    .or_insert_with(|| cache.intern_function(target, &c.function))
+            })
+            .collect();
     }
-    let hits_before = cache.as_deref().map(PrefixCache::hits);
+    let hits_before = cache.hits();
     let mut snap = SnapStats {
         timed,
         ..SnapStats::default()
@@ -1020,290 +957,85 @@ pub fn compare_with_oracle_profiled(
     // < ℓ, but the extra work is a geometric series dominated by the last
     // level, and it keeps memory at O(L) snapshots while preserving the
     // increasing-length enumeration that makes counterexamples minimal.
-    // (Plan, length) pairs are searched in order with a barrier between
-    // them — parallelism lives *inside* each pair — so a counterexample in
-    // an earlier pair is found before a later pair is ever entered, exactly
-    // as in the sequential enumeration.
-    // (An immediately-invoked closure, so the early returns of the search
-    // still flow through the profile finalization below.)
-    let mut walk = || -> EquivalenceReport {
-        let mut sequences_tested = 0usize;
-        let cancelled_report = |sequences_tested: usize| EquivalenceReport {
-            equivalent: false,
-            counterexample: None,
-            sequences_tested,
-            bound_exhausted: false,
-            cancelled: true,
-        };
+    let mut sequences_tested = 0usize;
+    let outcome = 'search: {
         for length in 0..=config.max_updates {
             for (plan, prep) in plans.iter().zip(&prepared) {
                 if length > 0 && plan.update_calls.is_empty() {
                     continue;
                 }
                 if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return cancelled_report(sequences_tested);
+                    break 'search Search::Cancelled;
                 }
-                match search_plan(
+                let search = search_plan(
                     oracle,
                     target_schema,
                     plan,
                     prep,
-                    config,
+                    config.max_sequences,
                     length,
                     &mut sequences_tested,
                     cancel,
                     &mut snap,
-                    cache.as_deref_mut(),
-                ) {
-                    Search::Exhausted => {}
-                    Search::Counterexample(sequence) => {
-                        return EquivalenceReport {
-                            equivalent: false,
-                            counterexample: Some(sequence),
-                            sequences_tested,
-                            bound_exhausted: false,
-                            cancelled: false,
-                        }
-                    }
-                    Search::CapHit => {
-                        return EquivalenceReport {
-                            equivalent: true,
-                            counterexample: None,
-                            sequences_tested,
-                            bound_exhausted: false,
-                            cancelled: false,
-                        }
-                    }
-                    Search::Cancelled => return cancelled_report(sequences_tested),
-                    Search::Aborted => unreachable!("merge stops before aborted stubs"),
+                    cache,
+                );
+                if !matches!(search, Search::Exhausted) {
+                    break 'search search;
                 }
             }
         }
-
-        EquivalenceReport {
-            equivalent: true,
-            counterexample: None,
-            sequences_tested,
-            bound_exhausted: true,
-            cancelled: false,
-        }
+        Search::Exhausted
     };
-    let report = walk();
+    fold_snapshot_peak(snap.peak);
 
     if let Some(profile) = profile {
-        if let Some(start) = dfs_start {
+        if let (Some(compile), Some(start)) = (compile_time, dfs_start) {
+            profile.plan_compile_time += compile;
             profile.dfs_time += start.elapsed();
         }
+        profile.plans_compiled += plans
+            .iter()
+            .map(|p| 2 * (p.update_calls.len() + p.query_calls.len()) as u64)
+            .sum::<u64>();
         profile.snapshot_time += Duration::from_nanos(snap.nanos);
         profile.snapshots_taken += snap.taken;
         profile.snapshot_bytes_copied += snap.bytes;
         profile.undo_frames += snap.frames;
         profile.undo_ops_rolled_back += snap.undone;
-        if let (Some(cache), Some(before)) = (cache.as_deref(), hits_before) {
-            profile.prefix_cache_hits += cache.hits() - before;
-        }
+        profile.prefix_cache_hits += cache.hits() - hits_before;
     }
-    report
+    EquivalenceReport {
+        equivalent: matches!(outcome, Search::Exhausted | Search::CapHit),
+        bound_exhausted: matches!(outcome, Search::Exhausted),
+        cancelled: matches!(outcome, Search::Cancelled),
+        counterexample: match outcome {
+            Search::Counterexample(sequence) => Some(sequence),
+            _ => None,
+        },
+        sequences_tested,
+    }
 }
 
-/// Smallest estimated leaf count for which a (plan, length) subtree is
-/// worth fork-join overhead; below it the subtree is searched inline.
-const PARALLEL_LEAF_THRESHOLD: u128 = 4096;
-
-/// Searches one (plan, length) subtree, in parallel when profitable.
+/// Searches one (plan, length) subtree.
 ///
-/// The parallel split partitions the subtree by update-call *stubs* — the
-/// first `d` levels of the prefix, enumerated in lexicographic order, which
-/// is exactly the order the sequential DFS visits them. Each stub task
-/// replays its stub from the empty roots (re-executing at most `d` updates
-/// that the sequential walk would have shared — bounded waste, chosen so
-/// there are enough tasks to load the thread budget) and then runs the
-/// ordinary prefix-shared walk below it with a private sequence counter.
-/// Merging task results in stub order and stopping at the first
-/// counterexample reproduces the sequential outcome *and* count exactly:
-/// stubs before the winner contribute their full subtree counts, the winner
-/// contributes its count up to the counterexample, and later stubs — which
-/// the sequential walk never reached — are discarded unread.
+/// The first `min(length, PREFIX_CACHE_DEPTH)` levels of the update-call
+/// tree are resolved *in lexicographic order* through the [`PrefixCache`]:
+/// each prefix's executed source and target states are either reused from
+/// an earlier candidate (or an earlier depth of this check) or computed
+/// once and published. Candidates that differ only in later
+/// update-function bodies — the common case in CEGIS, where one hole flips
+/// per iteration — hit on every shared prefix.
+///
+/// Below the resolved roots the in-place walk runs root by root, in root
+/// order, sharing the one sequence budget `cap`, so the leaves are visited
+/// in exactly the naive odometer's order.
 #[allow(clippy::too_many_arguments)]
 fn search_plan(
     oracle: &SourceOracle<'_>,
     target_schema: &Schema,
     plan: &QueryPlan,
     prep: &PreparedPlan,
-    config: &TestConfig,
-    length: usize,
-    sequences_tested: &mut usize,
-    token: Option<&CancelToken>,
-    snap: &mut SnapStats,
-    cache: Option<&mut PrefixCache>,
-) -> Search {
-    if let Some(cache) = cache {
-        return search_plan_prefix_cached(
-            oracle,
-            target_schema,
-            plan,
-            prep,
-            config,
-            length,
-            sequences_tested,
-            token,
-            snap,
-            cache,
-        );
-    }
-    let source_schema = oracle.schema();
-    let fanout = plan.update_calls.len();
-    let workers = parpool::thread_limit();
-    let leaves_estimate = (fanout as u128)
-        .saturating_pow(length as u32)
-        .saturating_mul(plan.query_calls.len() as u128);
-    // The sequence cap is a single global budget: splitting it across
-    // workers would change which sequence exhausts it, so capped checks run
-    // sequentially (they are bounded by construction anyway).
-    let parallel = config.max_sequences.is_none()
-        && length >= 1
-        && fanout >= 2
-        && workers > 1
-        && leaves_estimate >= PARALLEL_LEAF_THRESHOLD;
-
-    if !parallel {
-        let mut dfs = Dfs {
-            oracle,
-            plan,
-            prep,
-            cap: config.max_sequences,
-            sequences_tested,
-            key: Vec::with_capacity(length + 1),
-            path: Vec::with_capacity(length),
-            cancel: None,
-            token,
-            polls: 0,
-            snap: snap.fresh(),
-            src: WorkState::fresh(source_schema),
-            tgt: WorkState::fresh(target_schema),
-        };
-        let result = dfs.walk(length);
-        fold_snapshot_peak(dfs.snap.peak);
-        snap.absorb(&dfs.snap);
-        return result;
-    }
-
-    // Deepen the stub until there are enough tasks to load the budget (or
-    // we run out of levels), but never so many that per-stub replay
-    // overhead dominates.
-    let mut stub_depth = 1usize;
-    while stub_depth < length
-        && (fanout as u128).saturating_pow(stub_depth as u32) < 4 * workers as u128
-    {
-        stub_depth += 1;
-    }
-    while stub_depth > 1 && (fanout as u128).saturating_pow(stub_depth as u32) > 4096 {
-        stub_depth -= 1;
-    }
-    let stub_count = fanout.pow(stub_depth as u32);
-    let stubs: Vec<usize> = (0..stub_count).collect();
-    let timed = snap.timed;
-
-    let results = parpool::par_map_stop(
-        &stubs,
-        |task_index, &stub, ctx| {
-            // Decode the stub number into update-call indices, most
-            // significant digit first, so numeric stub order is the
-            // lexicographic (sequential DFS) order.
-            let mut digits = vec![0usize; stub_depth];
-            let mut rem = stub;
-            for slot in digits.iter_mut().rev() {
-                *slot = rem % fanout;
-                rem /= fanout;
-            }
-            let mut src = ExecState::Live(Instance::empty(source_schema), 0);
-            let mut tgt = ExecState::Live(Instance::empty(target_schema), 0);
-            let mut key = Vec::with_capacity(length + 1);
-            let mut path = Vec::with_capacity(length);
-            let mut stub_snap = SnapStats {
-                timed,
-                ..SnapStats::default()
-            };
-            for &i in &digits {
-                src = apply_update(&prep.src_updates[i], &src, &mut stub_snap);
-                tgt = apply_update(&prep.tgt_updates[i], &tgt, &mut stub_snap);
-                key.push(prep.update_ids[i]);
-                path.push(i);
-            }
-            let src_work = WorkState::from_snapshot(&src, source_schema);
-            let tgt_work = WorkState::from_snapshot(&tgt, target_schema);
-            let mut count = 0usize;
-            let mut dfs = Dfs {
-                oracle,
-                plan,
-                prep,
-                cap: None,
-                sequences_tested: &mut count,
-                key,
-                path,
-                cancel: Some((ctx, task_index)),
-                token,
-                polls: 0,
-                snap: stub_snap,
-                src: src_work,
-                tgt: tgt_work,
-            };
-            let search = dfs.walk(length - stub_depth);
-            fold_snapshot_peak(dfs.snap.peak);
-            let stub_snap = dfs.snap;
-            drop(dfs); // release the borrow of `count`
-            (search, count, stub_snap)
-        },
-        // A token cancellation is a stopping result too: it makes the whole
-        // check moot, so still-queued stubs are skipped instead of started.
-        |(search, _, _)| matches!(search, Search::Counterexample(_) | Search::Cancelled),
-    );
-
-    // Index-ordered merge: byte-identical to the sequential left-to-right
-    // walk with early exit (see the parpool stop contract).
-    for result in results {
-        let Some((search, count, stub_snap)) = result else {
-            break;
-        };
-        *sequences_tested += count;
-        snap.absorb(&stub_snap);
-        match search {
-            Search::Exhausted => {}
-            Search::Counterexample(sequence) => return Search::Counterexample(sequence),
-            Search::CapHit => unreachable!("stub tasks run uncapped"),
-            Search::Cancelled => return Search::Cancelled,
-            Search::Aborted => unreachable!("merge stops before aborted stubs"),
-        }
-    }
-    Search::Exhausted
-}
-
-/// [`search_plan`] with cross-candidate prefix sharing.
-///
-/// Before walking, the first `min(length, PREFIX_CACHE_DEPTH)` levels of
-/// the update-call tree are resolved *sequentially, in lexicographic
-/// order* through the [`PrefixCache`]: each prefix's executed source and
-/// target states are either reused from an earlier candidate (or an
-/// earlier depth of this one) or computed once and published. Candidates
-/// that differ only in later update-function bodies — the common case in
-/// CEGIS, where one hole flips per iteration — hit on every shared prefix.
-///
-/// All cache access happens here, on the calling thread, at a sequential
-/// point *before* any parallel split; the walks below the resolved roots
-/// never touch the cache. Hit counts are therefore a pure function of the
-/// candidate sequence — deterministic at any thread count — and the cache
-/// needs no synchronization. The walk itself mirrors [`search_plan`]
-/// exactly: sequential per-root DFS in root order (sharing the one global
-/// sequence budget), or `par_map_stop` over the roots with the same
-/// index-ordered merge, so every reported count is identical to the
-/// uncached search.
-#[allow(clippy::too_many_arguments)]
-fn search_plan_prefix_cached(
-    oracle: &SourceOracle<'_>,
-    target_schema: &Schema,
-    plan: &QueryPlan,
-    prep: &PreparedPlan,
-    config: &TestConfig,
+    cap: Option<usize>,
     length: usize,
     sequences_tested: &mut usize,
     token: Option<&CancelToken>,
@@ -1315,14 +1047,12 @@ fn search_plan_prefix_cached(
     let base = length.min(PREFIX_CACHE_DEPTH);
 
     // Resolve the first `base` levels through the cache, level by level in
-    // lexicographic order. Misses execute the update once and account the
-    // clone in a local SnapStats folded below, exactly like a walk subtree.
-    let mut resolve_snap = snap.fresh();
-    let empty_path: Vec<usize> = Vec::new();
+    // lexicographic order. Misses execute the update once on a COW clone of
+    // the parent state.
     let src_root = Arc::new(ExecState::Live(Instance::empty(source_schema), 0));
     let tgt_root = Arc::new(ExecState::Live(Instance::empty(target_schema), 0));
     let mut roots: Vec<(Vec<usize>, Arc<ExecState>, Arc<ExecState>)> =
-        vec![(empty_path, src_root, tgt_root)];
+        vec![(Vec::new(), src_root, tgt_root)];
     for _ in 0..base {
         let mut next = Vec::with_capacity(roots.len() * fanout);
         for (path, src, tgt) in &roots {
@@ -1331,120 +1061,38 @@ fn search_plan_prefix_cached(
                 child_path.push(i);
                 let src_child = cache.resolve(
                     prefix_key(false, &child_path, &prep.update_ids, &prep.src_body_ids),
-                    || apply_update(&prep.src_updates[i], src, &mut resolve_snap),
+                    || apply_update(&prep.src_updates[i], src, snap),
                 );
                 let tgt_child = cache.resolve(
                     prefix_key(true, &child_path, &prep.update_ids, &prep.tgt_body_ids),
-                    || apply_update(&prep.tgt_updates[i], tgt, &mut resolve_snap),
+                    || apply_update(&prep.tgt_updates[i], tgt, snap),
                 );
                 next.push((child_path, src_child, tgt_child));
             }
         }
         roots = next;
     }
-    fold_snapshot_peak(resolve_snap.peak);
-    snap.absorb(&resolve_snap);
 
-    let workers = parpool::thread_limit();
-    let leaves_estimate = (fanout as u128)
-        .saturating_pow(length as u32)
-        .saturating_mul(plan.query_calls.len() as u128);
-    // Same predicate as the uncached path: capped checks stay sequential so
-    // the single global budget is spent in enumeration order.
-    let parallel = config.max_sequences.is_none()
-        && length >= 1
-        && fanout >= 2
-        && workers > 1
-        && leaves_estimate >= PARALLEL_LEAF_THRESHOLD;
-
-    if !parallel {
-        for (path, src, tgt) in &roots {
-            let root_snap = snap.fresh();
-            let src_work = WorkState::from_snapshot(src, source_schema);
-            let tgt_work = WorkState::from_snapshot(tgt, target_schema);
-            let mut dfs = Dfs {
-                oracle,
-                plan,
-                prep,
-                cap: config.max_sequences,
-                sequences_tested: &mut *sequences_tested,
-                key: {
-                    let mut key = Vec::with_capacity(length + 1);
-                    key.extend(path.iter().map(|&i| prep.update_ids[i]));
-                    key
-                },
-                path: path.clone(),
-                cancel: None,
-                token,
-                polls: 0,
-                snap: root_snap,
-                src: src_work,
-                tgt: tgt_work,
-            };
-            let result = dfs.walk(length - base);
-            fold_snapshot_peak(dfs.snap.peak);
-            let dfs_snap = dfs.snap;
-            drop(dfs);
-            snap.absorb(&dfs_snap);
-            if !matches!(result, Search::Exhausted) {
-                return result;
-            }
-        }
-        return Search::Exhausted;
-    }
-
-    let timed = snap.timed;
-    let results = parpool::par_map_stop(
-        &roots,
-        |task_index, (path, src, tgt), ctx| {
-            let root_snap = SnapStats {
-                timed,
-                ..SnapStats::default()
-            };
-            let src_work = WorkState::from_snapshot(src, source_schema);
-            let tgt_work = WorkState::from_snapshot(tgt, target_schema);
-            let mut count = 0usize;
-            let mut dfs = Dfs {
-                oracle,
-                plan,
-                prep,
-                cap: None,
-                sequences_tested: &mut count,
-                key: {
-                    let mut key = Vec::with_capacity(length + 1);
-                    key.extend(path.iter().map(|&i| prep.update_ids[i]));
-                    key
-                },
-                path: path.clone(),
-                cancel: Some((ctx, task_index)),
-                token,
-                polls: 0,
-                snap: root_snap,
-                src: src_work,
-                tgt: tgt_work,
-            };
-            let search = dfs.walk(length - base);
-            fold_snapshot_peak(dfs.snap.peak);
-            let root_snap = dfs.snap;
-            drop(dfs); // release the borrow of `count`
-            (search, count, root_snap)
-        },
-        |(search, _, _)| matches!(search, Search::Counterexample(_) | Search::Cancelled),
-    );
-
-    // Index-ordered merge: identical to the stub merge in [`search_plan`].
-    for result in results {
-        let Some((search, count, root_snap)) = result else {
-            break;
+    for (path, src, tgt) in &roots {
+        let mut key = Vec::with_capacity(length + 1);
+        key.extend(path.iter().map(|&i| prep.update_ids[i]));
+        let mut dfs = Dfs {
+            oracle,
+            plan,
+            prep,
+            cap,
+            sequences_tested: &mut *sequences_tested,
+            key,
+            path: path.clone(),
+            token,
+            polls: 0,
+            snap: &mut *snap,
+            src: WorkState::from_snapshot(src, source_schema),
+            tgt: WorkState::from_snapshot(tgt, target_schema),
         };
-        *sequences_tested += count;
-        snap.absorb(&root_snap);
-        match search {
-            Search::Exhausted => {}
-            Search::Counterexample(sequence) => return Search::Counterexample(sequence),
-            Search::CapHit => unreachable!("root tasks run uncapped"),
-            Search::Cancelled => return Search::Cancelled,
-            Search::Aborted => unreachable!("merge stops before aborted roots"),
+        let result = dfs.walk(length - base);
+        if !matches!(result, Search::Exhausted) {
+            return result;
         }
     }
     Search::Exhausted
@@ -1507,16 +1155,6 @@ struct WorkState<'s> {
 }
 
 impl<'s> WorkState<'s> {
-    /// A live state over the empty instance — the walk's root.
-    fn fresh(schema: &Schema) -> WorkState<'s> {
-        WorkState {
-            instance: WorkInstance::Owned(Instance::empty(schema)),
-            uid: 0,
-            journal: Journal::new(),
-            failed: None,
-        }
-    }
-
     /// A working view of a (possibly shared) snapshot. Nothing is copied
     /// here: the instance stays borrowed until the walk's first mutation
     /// detaches it (see [`WorkInstance::owned`]), so roots whose subtree
@@ -1562,17 +1200,14 @@ struct Dfs<'a, 'p> {
     /// materialize the [`InvocationSequence`] only when a counterexample is
     /// actually found.
     path: Vec<usize>,
-    /// Set for parallel stub tasks: polled so a task whose result can no
-    /// longer win the index-ordered merge stops burning its subtree.
-    cancel: Option<(&'a StopCtx, usize)>,
     /// The caller's cancellation/deadline token, polled every
     /// [`TOKEN_POLL_INTERVAL`] visited nodes.
     token: Option<&'a CancelToken>,
     /// Nodes visited since the walk started, for token-poll pacing.
     polls: usize,
-    /// Local snapshot/undo accounting, folded into the global metric and
-    /// the caller's profile by the walk's caller.
-    snap: SnapStats,
+    /// The check's snapshot/undo accounting, folded into the global metric
+    /// and the caller's profile once the check ends.
+    snap: &'a mut SnapStats,
     /// The source program's working state, mutated and rolled back in place.
     src: WorkState<'a>,
     /// The target program's working state, mutated and rolled back in place.
@@ -1587,15 +1222,6 @@ struct Dfs<'a, 'p> {
 const TOKEN_POLL_INTERVAL: usize = 256;
 
 impl Dfs<'_, '_> {
-    /// Returns `true` if this walker belongs to a parallel stub task that a
-    /// lower-index counterexample has made irrelevant.
-    fn cancelled(&self) -> bool {
-        match self.cancel {
-            Some((ctx, index)) => ctx.cancelled(index),
-            None => false,
-        }
-    }
-
     /// Paced poll of the caller's [`CancelToken`]: checks the token on the
     /// first call and every [`TOKEN_POLL_INTERVAL`] calls after that.
     fn interrupted(&mut self) -> bool {
@@ -1616,9 +1242,6 @@ impl Dfs<'_, '_> {
     /// loop advances **or** a non-exhausted result propagates, so the
     /// working states are back at this node's state on every exit path.
     fn walk(&mut self, depth: usize) -> Search {
-        if self.cancelled() {
-            return Search::Aborted;
-        }
         if self.interrupted() {
             return Search::Cancelled;
         }
@@ -1632,15 +1255,15 @@ impl Dfs<'_, '_> {
         }
         let prep = self.prep;
         for i in 0..self.plan.update_calls.len() {
-            let src_frame = apply_in_place(&prep.src_updates[i], &mut self.src, &mut self.snap);
-            let tgt_frame = apply_in_place(&prep.tgt_updates[i], &mut self.tgt, &mut self.snap);
+            let src_frame = apply_in_place(&prep.src_updates[i], &mut self.src, self.snap);
+            let tgt_frame = apply_in_place(&prep.tgt_updates[i], &mut self.tgt, self.snap);
             self.key.push(prep.update_ids[i]);
             self.path.push(i);
             let result = self.walk(depth - 1);
             self.path.pop();
             self.key.pop();
-            revert_frame(tgt_frame, &mut self.tgt, &mut self.snap);
-            revert_frame(src_frame, &mut self.src, &mut self.snap);
+            revert_frame(tgt_frame, &mut self.tgt, self.snap);
+            revert_frame(src_frame, &mut self.src, self.snap);
             if !matches!(result, Search::Exhausted) {
                 return result;
             }
@@ -1783,14 +1406,14 @@ fn revert_frame(frame: Frame, state: &mut WorkState<'_>, snap: &mut SnapStats) {
 
 /// Extends a shared execution state by one update call, COW-cloning the
 /// instance so the parent snapshot survives. Used only where a state must
-/// outlive the walk — [`PrefixCache`] resolution and parallel stub replay;
-/// the walk itself mutates in place via [`apply_in_place`].
+/// outlive the walk — [`PrefixCache`] resolution; the walk itself mutates
+/// in place via [`apply_in_place`].
 ///
-/// `snap` is the caller's *local* snapshot accounting: sampling a global
-/// atomic here would put a shared read-modify-write on every node of every
-/// worker's walk, so callers accumulate locally and fold into
-/// [`SNAPSHOT_PEAK_BYTES`] (and the check's [`CheckProfile`]) once per
-/// subtree (see [`fold_snapshot_peak`]). Accounting is physical: the
+/// `snap` is the check's *local* snapshot accounting: sampling a global
+/// atomic here would put a shared read-modify-write on every resolved
+/// prefix of every concurrent check, so the check accumulates locally and
+/// folds into [`SNAPSHOT_PEAK_BYTES`] (and its [`CheckProfile`]) once at
+/// the end (see [`fold_snapshot_peak`]). Accounting is physical: the
 /// clone's pointer overhead plus the copy-on-write table copies the
 /// execution triggers (tracked through a scratch journal whose undo ops are
 /// discarded — nothing here ever rolls back).
@@ -1824,7 +1447,7 @@ fn apply_update(prepared: &PreparedUpdate, state: &ExecState, snap: &mut SnapSta
 }
 
 /// Folds a locally accumulated snapshot high-water mark into the
-/// process-wide metric (one atomic RMW per subtree instead of per node).
+/// process-wide metric (one atomic RMW per check instead of per node).
 fn fold_snapshot_peak(local: usize) {
     if local > 0 {
         SNAPSHOT_PEAK_BYTES.fetch_max(local, Ordering::Relaxed);
@@ -2013,7 +1636,8 @@ mod tests {
     fn differing_projection_is_detected_with_minimal_input() {
         let p = make_program(true);
         let q = make_program(false);
-        let cex = find_failing_input(&p, &schema(), &q, &schema(), &TestConfig::default())
+        let cex = compare_programs(&p, &schema(), &q, &schema(), &TestConfig::default())
+            .counterexample
             .expect("programs differ");
         // The minimal counterexample needs exactly one insert before the query.
         assert_eq!(cex.updates.len(), 1);
@@ -2040,7 +1664,8 @@ mod tests {
                 JoinChain::table("User"),
             );
         }
-        let cex = find_failing_input(&p, &schema(), &q, &schema(), &TestConfig::default())
+        let cex = compare_programs(&p, &schema(), &q, &schema(), &TestConfig::default())
+            .counterexample
             .expect("programs differ");
         assert_eq!(cex.updates.len(), 1, "smallest distinguishing input");
     }
@@ -2053,10 +1678,13 @@ mod tests {
             cluster_by_tables: false,
             ..TestConfig::default()
         };
-        let unclustered = find_failing_input(&p, &schema(), &q, &schema(), &config);
+        let unclustered = compare_programs(&p, &schema(), &q, &schema(), &config);
         config.cluster_by_tables = true;
-        let clustered = find_failing_input(&p, &schema(), &q, &schema(), &config);
-        assert_eq!(unclustered.is_some(), clustered.is_some());
+        let clustered = compare_programs(&p, &schema(), &q, &schema(), &config);
+        assert_eq!(
+            unclustered.counterexample.is_some(),
+            clustered.counterexample.is_some()
+        );
     }
 
     /// The prefix cache must change *what work is skipped*, never *what is
@@ -2077,7 +1705,7 @@ mod tests {
         let mut cache = PrefixCache::new();
         let mut profile = CheckProfile::default();
         for candidate in &candidates {
-            let cached = compare_with_oracle_profiled(
+            let cached = compare_with_oracle(
                 &oracle,
                 candidate,
                 &schema,
@@ -2086,7 +1714,7 @@ mod tests {
                 Some(&mut profile),
                 Some(&mut cache),
             );
-            let plain = compare_with_oracle_cancel(&oracle, candidate, &schema, &config, None);
+            let plain = compare_with_oracle(&oracle, candidate, &schema, &config, None, None, None);
             assert_eq!(cached.equivalent, plain.equivalent);
             assert_eq!(cached.counterexample, plain.counterexample);
             assert_eq!(cached.sequences_tested, plain.sequences_tested);
@@ -2284,10 +1912,10 @@ mod tests {
         let source_schema = schema();
         let oracle = SourceOracle::new(&p, &source_schema);
         let config = TestConfig::default();
-        let first = compare_with_oracle(&oracle, &q, &source_schema, &config);
+        let first = compare_with_oracle(&oracle, &q, &source_schema, &config, None, None, None);
         assert_eq!(oracle.hits(), 0, "cold cache cannot hit");
         assert!(oracle.cached_sequences() > 0);
-        let second = compare_with_oracle(&oracle, &q, &source_schema, &config);
+        let second = compare_with_oracle(&oracle, &q, &source_schema, &config, None, None, None);
         assert_eq!(first, second, "memoization must not change the verdict");
         assert!(
             oracle.hits() > 0,
@@ -2305,12 +1933,14 @@ mod tests {
         let source_schema = schema();
         let oracle = SourceOracle::new(&p, &source_schema);
         let token = CancelToken::with_timeout(std::time::Duration::ZERO);
-        let report = compare_with_oracle_cancel(
+        let report = compare_with_oracle(
             &oracle,
             &q,
             &source_schema,
             &TestConfig::default(),
             Some(&token),
+            None,
+            None,
         );
         assert!(report.cancelled);
         assert!(!report.equivalent);
@@ -2326,15 +1956,24 @@ mod tests {
         let token = CancelToken::new();
         for candidate in [&p, &q] {
             let oracle = SourceOracle::new(&p, &source_schema);
-            let plain =
-                compare_with_oracle(&oracle, candidate, &source_schema, &TestConfig::default());
+            let plain = compare_with_oracle(
+                &oracle,
+                candidate,
+                &source_schema,
+                &TestConfig::default(),
+                None,
+                None,
+                None,
+            );
             let oracle = SourceOracle::new(&p, &source_schema);
-            let with_token = compare_with_oracle_cancel(
+            let with_token = compare_with_oracle(
                 &oracle,
                 candidate,
                 &source_schema,
                 &TestConfig::default(),
                 Some(&token),
+                None,
+                None,
             );
             assert_eq!(plain, with_token);
             assert!(!with_token.cancelled);

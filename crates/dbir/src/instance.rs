@@ -7,11 +7,11 @@
 //! clones share every row until one of them writes. The first mutable access
 //! to a table ([`Instance::rows_mut`]) un-shares just that table via
 //! [`Arc::make_mut`]; other tables stay shared. This makes the bounded
-//! testing engine's snapshots (prefix-cache entries, parallel walk roots)
-//! nearly free, and it is what the undo-log walk in [`crate::equiv`] relies
-//! on: a walker clones a cached prefix state cheaply, mutates its private
-//! copy in place, and can never perturb the cached original because every
-//! write path goes through `rows_mut`.
+//! testing engine's snapshots (prefix-cache entries) nearly free, and it is
+//! what the undo-log walk in [`crate::equiv`] relies on: a walker clones a
+//! cached prefix state cheaply, mutates its private copy in place, and can
+//! never perturb the cached original because every write path goes through
+//! `rows_mut`.
 //!
 //! Sharing invariants:
 //!

@@ -11,7 +11,7 @@ use dbir::ast::{
     CmpOp, Function, FunctionBody, JoinChain, Operand, Param, Pred, Program, Query, Update,
 };
 use dbir::equiv::{compare_programs, compare_programs_naive, SourceOracle, TestConfig};
-use dbir::equiv::{compare_with_oracle, EquivalenceReport};
+use dbir::equiv::{compare_with_oracle, CheckProfile, EquivalenceReport};
 use dbir::eval::{bind_args, CompiledUpdate, Journal};
 use dbir::schema::{QualifiedAttr, Schema};
 use dbir::value::{DataType, Value};
@@ -238,12 +238,14 @@ proptest! {
         let source = build_program(&source_shape);
         let target = build_program(&target_shape);
         let oracle = SourceOracle::new(&source, &schema);
-        let cold: EquivalenceReport = compare_with_oracle(&oracle, &target, &schema, &config);
-        let warm = compare_with_oracle(&oracle, &target, &schema, &config);
+        let cold: EquivalenceReport =
+            compare_with_oracle(&oracle, &target, &schema, &config, None, None, None);
+        let warm = compare_with_oracle(&oracle, &target, &schema, &config, None, None, None);
         prop_assert_eq!(&cold, &warm);
         // And against a sibling candidate, the shared cache stays sound.
         let sibling = build_program(&ProgramShape { projection: target_shape.projection.wrapping_add(1), ..target_shape.clone() });
-        let with_shared_cache = compare_with_oracle(&oracle, &sibling, &schema, &config);
+        let with_shared_cache =
+            compare_with_oracle(&oracle, &sibling, &schema, &config, None, None, None);
         let from_scratch = compare_programs(&source, &schema, &sibling, &schema, &config);
         prop_assert_eq!(&with_shared_cache, &from_scratch);
     }
@@ -355,25 +357,21 @@ proptest! {
     }
 }
 
-/// The parallel stub-partitioned walk must be byte-identical to the naive
-/// reference — verdict, counterexample, `sequences_tested` — with the thread
-/// budget forced above one. The configuration is sized so the estimated
-/// subtree (|updates|·combos)^depth · |queries| clears the engine's
-/// parallelism threshold, i.e. the fan-out path genuinely runs (on any
-/// machine, including single-core CI).
-#[test]
-fn parallel_walk_matches_naive_reference() {
-    parpool::set_thread_limit(4);
-    let schema = schema();
-    // No relevance clustering: every plan sees every update, which pushes
-    // the per-(plan, depth) fan-out past the engine's parallelism threshold.
-    let config = TestConfig {
+/// A configuration large enough that one check spans thousands of
+/// sequences over many prefix-cache roots: no relevance clustering, so
+/// every plan sees every update, and a depth-3 bound over three int seeds.
+fn large_config() -> TestConfig {
+    TestConfig {
         max_updates: 3,
         int_seeds: vec![0, 1, 2],
         cluster_by_tables: false,
         ..TestConfig::default()
-    };
-    for (source_shape, target_shape) in [
+    }
+}
+
+/// An equivalent and a differing program pair for [`large_config`].
+fn large_pairs() -> [(ProgramShape, ProgramShape); 2] {
+    [
         // Equivalent pair: the whole bound is enumerated.
         (
             ProgramShape {
@@ -412,24 +410,71 @@ fn parallel_walk_matches_naive_reference() {
                 predicate: 4,
             },
         ),
-    ] {
+    ]
+}
+
+/// The walk must be byte-identical to the naive reference — verdict,
+/// counterexample, `sequences_tested` — on inputs large enough that the
+/// prefix-cache roots, the in-place walk below them and the shared
+/// sequence count all carry real weight.
+#[test]
+fn large_walk_matches_naive_reference() {
+    let schema = schema();
+    let config = large_config();
+    for (source_shape, target_shape) in large_pairs() {
         let source = build_program(&source_shape);
         let target = build_program(&target_shape);
-        let parallel = compare_programs(&source, &schema, &target, &schema, &config);
+        let fast = compare_programs(&source, &schema, &target, &schema, &config);
         let naive = compare_programs_naive(&source, &schema, &target, &schema, &config);
-        assert_eq!(parallel, naive, "parallel walk diverged from reference");
-        if parallel.equivalent {
+        assert_eq!(fast, naive, "walk diverged from reference");
+        if fast.equivalent {
             assert!(
-                parallel.sequences_tested > 4096,
-                "test must be big enough to cross the parallelism threshold, got {}",
-                parallel.sequences_tested
+                fast.sequences_tested > 4096,
+                "test must be big enough to span many prefix-cache roots, got {}",
+                fast.sequences_tested
             );
         }
     }
-    // Restore the default so concurrently scheduled tests in this binary
-    // run under the budget they expect. (Results are thread-count-invariant
-    // either way; this keeps the *exercised path* deterministic.)
-    parpool::set_thread_limit(0);
+}
+
+/// A check's profile counters are a function of its inputs alone: one
+/// `compare_with_oracle` call with no cache reports the same snapshot and
+/// undo-log work at a thread budget of 1 and of 4.
+#[test]
+fn check_counters_ignore_the_thread_budget() {
+    let schema = schema();
+    let config = large_config();
+    let [(source_shape, target_shape), _] = large_pairs();
+    let source = build_program(&source_shape);
+    let target = build_program(&target_shape);
+    let profile_at = |threads: usize| {
+        parpool::set_thread_limit(threads);
+        let oracle = SourceOracle::new(&source, &schema);
+        let mut profile = CheckProfile::default();
+        let report = compare_with_oracle(
+            &oracle,
+            &target,
+            &schema,
+            &config,
+            None,
+            Some(&mut profile),
+            None,
+        );
+        parpool::set_thread_limit(0);
+        assert!(report.equivalent && report.sequences_tested > 4096);
+        profile
+    };
+    let single = profile_at(1);
+    let multi = profile_at(4);
+    let counters = |p: &CheckProfile| {
+        (
+            p.snapshots_taken,
+            p.snapshot_bytes_copied,
+            p.undo_frames,
+            p.undo_ops_rolled_back,
+        )
+    };
+    assert_eq!(counters(&single), counters(&multi));
 }
 
 /// Copy-on-write aliasing: mutating one clone never perturbs its siblings,

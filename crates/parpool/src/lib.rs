@@ -4,15 +4,15 @@
 //! This workspace builds offline, so `rayon` is not available; this crate is
 //! the small slice of it the synthesizer needs, with two deliberate twists:
 //!
-//! 1. **One global budget, nested use welcome.** Parallelism in the
-//!    synthesizer appears at several altitudes at once — value
-//!    correspondences fan out, and each correspondence's bounded checks fan
-//!    out internally. A fixed-size pool per call site would multiply; here
-//!    every [`par_map_stop`] call *tries* to borrow extra worker tokens from
-//!    one process-wide budget and simply runs inline on the caller's thread
-//!    when none are free. Nothing ever blocks waiting for a token, so nested
-//!    calls cannot deadlock, and total live threads stay ≈ the configured
-//!    limit regardless of nesting depth.
+//! 1. **One global budget, nested use welcome.** The synthesizer's value
+//!    correspondences fan out, and a job server may run several syntheses
+//!    at once, each with its own fan-out. A fixed-size pool per call site
+//!    would multiply; here every [`par_map_stop`] call *tries* to borrow
+//!    extra worker tokens from one process-wide budget (shared with
+//!    long-lived [`BudgetReservation`]s) and simply runs inline on the
+//!    caller's thread when none are free. Nothing ever blocks waiting for a
+//!    token, so nested calls cannot deadlock, and total live threads stay ≈
+//!    the configured limit regardless of nesting depth.
 //!
 //! 2. **Lowest index wins.** Parallel search must not change *what* the
 //!    search finds. [`par_map_stop`] lets tasks produce "stopping" results
@@ -449,66 +449,14 @@ where
         .collect()
 }
 
-/// Runs two closures, possibly concurrently, and returns both results.
-///
-/// `g` runs on a borrowed worker token when one is free under the global
-/// thread budget; otherwise it runs inline on the caller's thread after `f`.
-/// Either way both closures run to completion exactly once, so a caller
-/// whose closures do not communicate observes identical results at any
-/// thread count — this is what lets the synthesizer overlap a speculative
-/// SAT solve with a candidate's bounded testing without perturbing the
-/// deterministic search trajectory. Never blocks waiting for a token.
-pub fn join<RF, RG, F, G>(f: F, g: G) -> (RF, RG)
-where
-    RF: Send,
-    RG: Send,
-    F: FnOnce() -> RF + Send,
-    G: FnOnce() -> RG + Send,
-{
-    if try_acquire(1) == 0 {
-        let rf = f();
-        let rg = g();
-        return (rf, rg);
-    }
-    let pair = std::thread::scope(|scope| {
-        let handle = scope.spawn(g);
-        let rf = f();
-        let rg = handle.join().expect("parpool join worker panicked");
-        (rf, rg)
-    });
-    release(1);
-    pair
-}
-
-/// Applies `f` to every item, possibly in parallel, and returns all results.
-///
-/// Convenience wrapper over [`par_map_stop`] with no stopping results.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_stop(items, |i, item, _ctx| f(i, item), |_| false)
-        .into_iter()
-        .map(|r| r.expect("no stopping results, so every item completes"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let doubled = par_map(&items, |_, &x| x * 2);
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn stop_contract_every_prefix_result_present() {
+        let _guard = limit_lock();
         // Task 37 stops; every result below 37 must be present.
         for _ in 0..20 {
             let items: Vec<usize> = (0..80).collect();
@@ -526,6 +474,7 @@ mod tests {
 
     #[test]
     fn lowest_stopping_index_wins() {
+        let _guard = limit_lock();
         // Several stopping indices: the merged winner must be the lowest,
         // and everything below it must be present.
         for _ in 0..20 {
@@ -543,9 +492,9 @@ mod tests {
         }
     }
 
-    /// Serializes tests that mutate the global thread limit, so they cannot
-    /// observe each other's settings when the test harness runs them in
-    /// parallel.
+    /// Serializes tests that mutate the global thread limit or borrow from
+    /// the global budget, so they cannot observe each other's settings or
+    /// tokens when the test harness runs them in parallel.
     fn limit_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -571,21 +520,36 @@ mod tests {
         assert!(results[5..].iter().all(Option::is_none));
     }
 
+    /// Nested fan-outs under a job runner's reservation — the served job
+    /// server's shape — neither deadlock nor lose results.
     #[test]
     fn nested_calls_do_not_deadlock() {
+        let _guard = limit_lock();
+        set_thread_limit(4);
+        let reservation = BudgetReservation::try_new(1).expect("one of three tokens free");
         let items: Vec<usize> = (0..8).collect();
-        let totals = par_map(&items, |_, &x| {
-            let inner: Vec<usize> = (0..8).map(|y| x * 8 + y).collect();
-            par_map(&inner, |_, &v| v + 1).into_iter().sum::<usize>()
-        });
-        let expected: Vec<usize> = (0..8)
-            .map(|x| (0..8).map(|y| x * 8 + y + 1).sum())
+        let totals = par_map_stop(
+            &items,
+            |_, &x, _| {
+                let inner: Vec<usize> = (0..8).map(|y| x * 8 + y).collect();
+                par_map_stop(&inner, |_, &v, _| v + 1, |_| false)
+                    .into_iter()
+                    .map(|r| r.expect("no stopping results"))
+                    .sum::<usize>()
+            },
+            |_| false,
+        );
+        drop(reservation);
+        set_thread_limit(0);
+        let expected: Vec<Option<usize>> = (0..8)
+            .map(|x| Some((0..8).map(|y| x * 8 + y + 1).sum()))
             .collect();
         assert_eq!(totals, expected);
     }
 
     #[test]
     fn cancellation_is_observable_after_a_lower_stop() {
+        let _guard = limit_lock();
         // A task polling `cancelled` sees the signal once a lower index
         // stopped. (Scheduling-dependent, so only assert the invariant: a
         // cancelled index is always above a stopping one.)
@@ -659,28 +623,6 @@ mod tests {
         assert!(token.deadline().is_some());
         token.cancel();
         assert_eq!(token.reason(), Some(CancelReason::Cancelled));
-    }
-
-    #[test]
-    fn join_runs_both_closures_at_any_budget() {
-        let _guard = limit_lock();
-        for limit in [1usize, 4] {
-            set_thread_limit(limit);
-            let (a, b) = join(|| 1 + 1, || "right");
-            assert_eq!((a, b), (2, "right"));
-        }
-        set_thread_limit(0);
-    }
-
-    #[test]
-    fn join_inline_fallback_runs_left_then_right() {
-        let _guard = limit_lock();
-        set_thread_limit(1);
-        let order = Mutex::new(Vec::new());
-        let push = |tag: &'static str| order.lock().unwrap().push(tag);
-        let _ = join(|| push("left"), || push("right"));
-        set_thread_limit(0);
-        assert_eq!(order.into_inner().unwrap(), vec!["left", "right"]);
     }
 
     #[test]

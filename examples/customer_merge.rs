@@ -7,11 +7,10 @@
 //! cargo run --release --example customer_merge
 //! ```
 
-use dbir::equiv::TestConfig;
+use dbir::equiv::{compare_programs, TestConfig};
 use dbir::parser::parse_program;
 use dbir::pretty::program_to_string;
 use dbir::Schema;
-use migrator::verify::{check_candidate, CheckOutcome};
 use migrator::{SynthesisConfig, Synthesizer};
 
 fn main() {
@@ -72,21 +71,21 @@ fn main() {
     .expect("program parses");
 
     println!("== Rejecting an incorrect candidate ==\n");
-    match check_candidate(
+    let report = compare_programs(
         &source,
         &source_schema,
         &wrong,
         &target_schema,
         &TestConfig::default(),
-    ) {
-        CheckOutcome::NotEquivalent {
-            minimum_failing_input,
-            sequences_tested,
-        } => {
+    );
+    match report.counterexample {
+        Some(minimum_failing_input) => {
             println!("minimum failing input: {minimum_failing_input}");
-            println!("(found after executing {sequences_tested} invocation sequences)");
+            println!(
+                "(found after executing {} invocation sequences)",
+                report.sequences_tested
+            );
         }
-        CheckOutcome::Equivalent { .. } => println!("unexpectedly equivalent"),
-        CheckOutcome::Cancelled { .. } => unreachable!("no cancel token installed"),
+        None => println!("unexpectedly equivalent"),
     }
 }
